@@ -125,8 +125,8 @@ class CachedLattice:
 
     ``groups`` pairs each same-width source batch with its ``(m, 2**n)``
     int64 count matrix — exactly the intermediate
-    :func:`repro.core.operators._rules_from_qualified` builds before rule
-    extraction.  ``extract`` replays the extraction deterministically, so
+    :func:`repro.core.operators.rules_from_sources` builds for a MIP plan
+    before rule extraction.  ``extract`` replays the extraction deterministically, so
     a lattice hit is byte-identical to the fresh MIP-plan execution for
     any ``minconf``.  ``extract_min_count`` is the expanded-mode frequency
     floor (``None`` in closed mode, where the sources are already

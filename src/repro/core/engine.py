@@ -35,14 +35,15 @@ from repro.core.calibration import (
 from repro.core.costs import CostWeights
 from repro.core.maintenance import MaintainedIndex
 from repro.core.mipindex import MIPIndex, build_mip_index
-from repro.core.operators import ExecutionTrace
+from repro.core.operators import ExecutionTrace, rules_from_sources
 from repro.core.optimizer import ColarmOptimizer, PlanChoice
 from repro.core.parser import parse_query
 from repro.core.plans import PlanKind, PlanResult, execute_plan, plan_from_name
 from repro.core.query import LocalizedQuery
 from repro.dataset.table import RelationalTable
 from repro.itemsets.apriori import min_count_for
-from repro.itemsets.rules import Rule, rules_from_itemsets
+from repro.itemsets.rules import Rule
+from repro.kernels import FocalKernel, full_row
 from repro.rtree.rtree import DEFAULT_MAX_ENTRIES
 
 __all__ = ["QueryOutcome", "Colarm"]
@@ -84,9 +85,12 @@ class Colarm:
         weights: CostWeights | None = None,
         expand: bool = False,
     ):
+        start = time.perf_counter()
         self.index: MIPIndex = build_mip_index(
             table, primary_support, max_entries=max_entries, packing=packing
         )
+        #: Measured build time: the first fold's price (0 = unmeasured).
+        self._build_s = time.perf_counter() - start
         self.expand = expand
         self.optimizer = ColarmOptimizer(self.index, weights)
         self.parallel = None
@@ -104,6 +108,7 @@ class Colarm:
         """Wrap an already-built (e.g. loaded-from-disk) MIP-index."""
         engine = cls.__new__(cls)
         engine.index = index
+        engine._build_s = 0.0
         engine.expand = expand
         engine.optimizer = ColarmOptimizer(index, weights)
         engine.parallel = None
@@ -276,6 +281,9 @@ class Colarm:
                 max_delta_fraction=max_delta_fraction,
                 auto_rebuild=False,
             )
+            # Until a fold is measured, a fold costs what this index's
+            # build cost.
+            self.maintenance.last_build_s = self._build_s
         else:
             self.maintenance.max_delta_fraction = max_delta_fraction
         self._recompact_horizon = horizon
@@ -605,15 +613,16 @@ class Colarm:
         query results is how Simpson's-paradox effects are surfaced
         (Section 5.3 / :mod:`repro.analysis.simpson`).
         """
-        full = ts.full(self.table.n_records)
-
-        def global_count(items):
-            return self.index.ittree.local_support_count(items, full)
-
-        return rules_from_itemsets(
-            [mip.itemset for mip in self.index.mips],
-            global_count,
-            self.table.n_records,
-            minsupp,
-            minconf,
+        n = self.table.n_records
+        min_count = min_count_for(minsupp, n)
+        sources = dict.fromkeys(
+            mip.itemset
+            for mip in self.index.mips
+            if len(mip.itemset) >= 2 and mip.global_count >= min_count
         )
+        matrix, row_of = self.table.item_matrix()
+        kernel = FocalKernel(matrix, row_of, full_row(n, matrix.shape[1]), n)
+        rules, _groups, _kernel_s = rules_from_sources(
+            sources, lambda: kernel, n, minconf, min_count=min_count
+        )
+        return rules

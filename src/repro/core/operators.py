@@ -26,17 +26,19 @@ keep working through the same operators.
 Every operator call appends an :class:`OperatorTrace` (cardinalities,
 record-level work, wall time) to the query's :class:`ExecutionTrace`; the
 calibration module turns those traces into the cost-model unit weights.
-VERIFY-family traces additionally split their wall time into mining
-(``mining_s``) and rule generation (``rulegen_s``, with the kernel share
-in ``kernel_s`` and the one-off projection build in ``projection_s``) so
-the cost model can price the ``rulegen`` term separately.
+VERIFY-family and ARM traces additionally split their wall time into
+mining (``mining_s``) and rule generation (``rulegen_s``, with the kernel
+share in ``kernel_s`` and the one-off projection build in
+``projection_s``); calibration prices the VERIFY split as the separate
+``rulegen`` term.  Every plan's rules come out of one lattice emitter,
+:func:`rules_from_sources`.
 """
 
 from __future__ import annotations
 
 import time
 from operator import attrgetter
-from collections.abc import Iterator
+from collections.abc import Callable, Collection, Iterable, Iterator
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -78,6 +80,7 @@ __all__ = [
     "op_select",
     "op_arm",
     "qualified_from_contained",
+    "rules_from_sources",
 ]
 
 #: A candidate MIP tagged with its exact relation to the focal region.
@@ -706,17 +709,10 @@ def _rules_from_qualified(
 ) -> tuple[list[Rule], int, float]:
     """Generate localized rules from support-qualified candidates, batched.
 
-    All supports are served by the focal-projected kernel.  Sources are
-    grouped by itemset width ``n`` and each group's *entire subset
-    lattice* is evaluated at once — ``2**n`` vectorized ANDs over
-    ``|D^Q|``-bit rows plus one batched popcount
-    (:meth:`repro.kernels.FocalKernel.count_subset_lattice`) — after which
-    every antecedent/consequent confidence is checked in one vectorized
-    pass and tuples materialize only for rules that pass ``minconf``
-    (:func:`repro.itemsets.rules.rules_from_subset_lattices`).  No
-    per-subset Python object is ever built for splits that fail, and the
-    canonical rule order is produced by a numeric ``lexsort`` over packed
-    item ranks instead of a comparison sort over tuples.
+    Picks the rule *sources* from the qualified candidates — the closures
+    themselves in closed mode, their locally frequent sub-itemsets within
+    Aitem in expanded mode — and hands them to :func:`rules_from_sources`,
+    the lattice rule emitter every plan shares.
 
     This supersedes the per-lookup big-int AND chain kept in
     :func:`_rules_from_qualified_reference` on both axes that sank the
@@ -724,10 +720,7 @@ def _rules_from_qualified(
     each AND ``|D^Q|/64`` words instead of ``n/64``, and the mask-indexed
     lattice removes the tuple-domain bookkeeping (family sets, memo
     probes, per-subset hashing) that made eager enumeration lose to the
-    reference's confidence pruning.  Pathologically wide itemsets
-    (``> _LATTICE_MAX_WIDTH`` items) fall back to the tuple-keyed
-    ``count_family`` + :func:`rules_from_counts` path, which has no
-    exponential table.
+    reference's confidence pruning.
 
     When a :class:`~repro.parallel.ParallelContext` is attached, each
     width group's lattice is offered to the shard pool first: the workers
@@ -760,81 +753,116 @@ def _rules_from_qualified(
 
     if not ctx.expand:
         # Closed mode: the qualified closures themselves are the sources.
-        sources: list[Itemset] = []
-        source_seen: set[Itemset] = set()
-        for itemset, local in pairs:
-            if len(itemset) >= 2 and local > 0 and itemset not in source_seen:
-                source_seen.add(itemset)
-                sources.append(itemset)
+        sources = list(dict.fromkeys(
+            itemset for itemset, local in pairs
+            if len(itemset) >= 2 and local > 0
+        ))
     else:
         # Expanded mode: every locally frequent sub-itemset (within Aitem)
         # of the qualified closures is a source; all six plans then return
         # the same rule set whenever the primary floor covers the query
-        # (DESIGN.md).  Discovery — lattice counts over the deduped
-        # Aitem-allowed closures, qualification against the focal floor,
-        # and collapse of sub-itemsets shared by overlapping closures —
-        # all happens in array space inside the kernel.
-        allowed_seen: set[Itemset] = set()
-        for itemset, _local in pairs:
-            allowed = make_itemset(
-                item
-                for item in itemset
-                if ctx.query.item_attributes is None
-                or item.attribute in ctx.query.item_attributes
+        # (DESIGN.md).
+        aitem = ctx.query.item_attributes
+        closures = {
+            make_itemset(
+                item for item in itemset
+                if aitem is None or item.attribute in aitem
             )
-            if len(allowed) >= 2:
-                allowed_seen.add(allowed)
-        narrow = [s for s in allowed_seen if len(s) <= _LATTICE_MAX_WIDTH]
+            for itemset, _local in pairs
+        }
         t0 = time.perf_counter()
-        sources = focal_kernel().frequent_subsets(narrow, ctx.min_count)
+        sources = _frequent_sources(focal_kernel(), closures, ctx.min_count)
         kernel_s += time.perf_counter() - t0
-        if len(narrow) < len(allowed_seen):  # pragma: no cover - huge schema
-            sources = _merge_wide_sources(
-                ctx, focal_kernel(), allowed_seen, sources
-            )
 
+    def count_group(group: list[Itemset]) -> "np.ndarray | None":
+        nonlocal sharded_evaluations
+        # The shard pool counts over the *main* universe (its workers hold
+        # the main item matrix), so it gets the main focal size; the delta
+        # lattice — a handful of words per row — adds on top as one
+        # vectorized elementwise sum.
+        counts = ctx.parallel.count_subset_lattice(
+            group, ctx.packed_dq(), ctx.main_dq_size
+        )
+        if counts is not None:
+            if ctx.delta is not None:
+                counts = counts + ctx.delta.kernel().count_subset_lattice(group)
+            ctx.sharded_calls += 1
+            # Same accounting as the serial kernel: one evaluation per
+            # non-empty sub-itemset of each source.
+            sharded_evaluations += len(group) * ((1 << len(group[0])) - 1)
+        return counts
+
+    rules, groups, lattice_s = rules_from_sources(
+        sources,
+        focal_kernel,
+        ctx.dq_size,
+        ctx.query.minconf,
+        min_count=ctx.min_count if ctx.expand else None,
+        count_group=count_group if ctx.parallel is not None else None,
+    )
+    # Expose the counted lattices for the materialized cache.
+    ctx.lattice_groups = groups
+    lookups = sharded_evaluations
+    if kernel is not None:
+        lookups += kernel.evaluations - evaluations_before
+    return rules, lookups, kernel_s + lattice_s
+
+
+def rules_from_sources(
+    sources: "Iterable[Itemset]",
+    kernel: "Callable[[], kernels.FocalKernel]",
+    universe_count: int,
+    minconf: float,
+    min_count: int | None = None,
+    count_group: "Callable[[list[Itemset]], np.ndarray | None] | None" = None,
+) -> "tuple[list[Rule], list[tuple[list[Itemset], np.ndarray]] | None, float]":
+    """The lattice rule emitter: distinct rule sources -> rules, sorted.
+
+    Every plan's rules come out of here — VERIFY's over the qualified
+    closures, ARM's over the locally mined closed sets, and the engine's
+    global rules over the stored MIPs.  Sources are grouped by itemset
+    width ``n`` and each group's *entire subset lattice* is counted at
+    once by ``kernel()`` (built on first need) —
+    :meth:`repro.kernels.FocalKernel.count_subset_lattice`, ``2**n``
+    vectorized ANDs over universe-width rows plus one batched popcount —
+    after which every antecedent/consequent confidence is checked in one
+    vectorized pass and :class:`Rule` objects materialize only for splits
+    that pass ``minconf``, already in the canonical order
+    (:func:`repro.itemsets.rules.rules_from_subset_lattices`).
+
+    ``min_count`` filters sources below the support floor (``None``: any
+    non-zero support); ``universe_count`` is the support denominator.
+    ``count_group`` may serve a group's lattice instead of the kernel
+    (the shard pool); ``None`` from it falls back to the kernel.
+    Pathologically wide sources (``> _LATTICE_MAX_WIDTH`` items) fall back
+    to the tuple-keyed ``count_family`` + :func:`rules_from_counts` path,
+    which has no exponential table.
+
+    Returns ``(rules, groups, kernel_seconds)``: ``groups`` are the
+    per-width ``(sources, (m, 2**n) counts)`` lattices — the reusable
+    intermediate the materialized cache stores — or ``None`` when the
+    wide fallback produced rules they do not cover.
+    """
     by_width: dict[int, list[Itemset]] = {}
     for itemset in sources:
         by_width.setdefault(len(itemset), []).append(itemset)
     wide: list[Itemset] = []
-    groups: list[tuple[list[Itemset], "np.ndarray"]] = []
+    groups: list[tuple[list[Itemset], np.ndarray]] = []
+    kernel_s = 0.0
     for n in sorted(by_width):
         group = by_width[n]
         if n > _LATTICE_MAX_WIDTH:
             wide.extend(group)
             continue
         t0 = time.perf_counter()
-        counts = None
-        if ctx.parallel is not None:
-            # The shard pool counts over the *main* universe (its workers
-            # hold the main item matrix), so it gets the main focal size;
-            # the delta lattice — a handful of words per row — adds on
-            # top as one vectorized elementwise sum.
-            counts = ctx.parallel.count_subset_lattice(
-                group, ctx.packed_dq(), ctx.main_dq_size
-            )
-            if counts is not None:
-                if ctx.delta is not None:
-                    counts = counts + ctx.delta.kernel().count_subset_lattice(
-                        group
-                    )
-                ctx.sharded_calls += 1
-                # Same accounting as the serial kernel: one evaluation per
-                # non-empty sub-itemset of each source.
-                sharded_evaluations += len(group) * ((1 << n) - 1)
+        counts = count_group(group) if count_group is not None else None
         if counts is None:
-            counts = focal_kernel().count_subset_lattice(group)
+            counts = kernel().count_subset_lattice(group)
         kernel_s += time.perf_counter() - t0
         groups.append((group, counts))
     rules = rules_from_subset_lattices(
-        groups,
-        ctx.dq_size,
-        ctx.query.minconf,
-        min_count=ctx.min_count if ctx.expand else None,
+        groups, universe_count, minconf, min_count=min_count
     )
-    # Expose the counted lattices for the materialized cache — only when
-    # they cover *all* sources (the wide fallback's rules are not in them).
-    ctx.lattice_groups = None if wide else groups
     if wide:  # pragma: no cover - beyond any schema in this repo
         family: set[Itemset] = set()
         for itemset in wide:
@@ -844,49 +872,52 @@ def _rules_from_qualified(
                     tuple(itemset[k] for k in range(n) if mask >> k & 1)
                 )
         t0 = time.perf_counter()
-        focal_kernel().count_family(family)
+        kernel().count_family(family)
         kernel_s += time.perf_counter() - t0
         rules.extend(
             rules_from_counts(
-                wide,
-                focal_kernel().count,
-                ctx.dq_size,
-                ctx.query.minconf,
-                min_count=ctx.min_count if ctx.expand else None,
+                wide, kernel().count, universe_count, minconf,
+                min_count=min_count,
             )
         )
         rules.sort(key=_RULE_ORDER)
-    lookups = sharded_evaluations
-    if kernel is not None:
-        lookups += kernel.evaluations - evaluations_before
-    return rules, lookups, kernel_s
+    return rules, None if wide else groups, kernel_s
 
 
-def _merge_wide_sources(
-    ctx: QueryContext,
+def _frequent_sources(
     kernel: "kernels.FocalKernel",
-    allowed_seen: "set[Itemset]",
-    sources: list[Itemset],
-) -> list[Itemset]:  # pragma: no cover - beyond any schema in this repo
-    """Expanded-mode fallback for pathologically wide closures: enumerate
-    their frequent sub-itemsets through the tuple-keyed family path and
-    merge with the lattice-discovered ``sources``."""
-    family: set[Itemset] = set()
-    for allowed in allowed_seen:
-        n = len(allowed)
-        if n <= _LATTICE_MAX_WIDTH:
-            continue
-        for mask in range(1, 1 << n):
-            family.add(
-                tuple(allowed[i] for i in range(n) if mask >> i & 1)
-            )
-    kernel.count_family(family)
-    floor = max(ctx.min_count, 1)
-    merged = set(sources)
-    for itemset in family:
-        if len(itemset) >= 2 and kernel.count(itemset) >= floor:
-            merged.add(itemset)
-    return sorted(merged)
+    closures: "Collection[Itemset]",
+    floor: int,
+) -> list[Itemset]:
+    """Expanded-mode sources: the distinct sub-itemsets (two items or
+    more) of ``closures`` whose support reaches ``floor``.
+
+    Lattice counts over the closures, qualification against the floor
+    and collapse of sub-itemsets shared by overlapping closures all
+    happen in array space inside the kernel
+    (:meth:`~repro.kernels.FocalKernel.frequent_subsets`); only
+    pathologically wide closures enumerate through the tuple-keyed family
+    path and merge in.
+    """
+    narrow = [s for s in closures if len(s) <= _LATTICE_MAX_WIDTH]
+    sources = kernel.frequent_subsets(narrow, floor)
+    if len(narrow) < len(closures):  # pragma: no cover - huge schema
+        family: set[Itemset] = set()
+        for closure in closures:
+            n = len(closure)
+            if n > _LATTICE_MAX_WIDTH:
+                for mask in range(1, 1 << n):
+                    family.add(
+                        tuple(closure[i] for i in range(n) if mask >> i & 1)
+                    )
+        kernel.count_family(family)
+        floor = max(floor, 1)
+        merged = set(sources)
+        for itemset in family:
+            if len(itemset) >= 2 and kernel.count(itemset) >= floor:
+                merged.add(itemset)
+        sources = sorted(merged)
+    return sources
 
 
 def _rules_from_qualified_reference(
@@ -1021,12 +1052,18 @@ def op_arm(ctx: QueryContext, sub: RelationalTable) -> list[Rule]:
     """ARM: traditional two-step rule mining from scratch on the subset.
 
     Mines closed frequent itemsets with CHARM at the query's minsupp over
-    the item attributes only, then generates rules with antecedent supports
-    resolved through a throwaway IT-tree over the local closed sets.  In
-    expanded mode all locally frequent sub-itemsets are enumerated, to
-    mirror the expanded MIP-plans.
+    the item attributes only, then generates rules from them with the
+    lattice emitter every plan shares (:func:`rules_from_sources`).  Its
+    supports come from the context's focal kernel, whose universe — the
+    live main focal records plus the delta focal records — is exactly
+    the SELECTed sub-table.  In expanded mode the sources are all locally
+    frequent sub-itemsets of the closed sets, to mirror the expanded
+    MIP-plans.  The trace splits the wall time as VERIFY's does: CHARM is
+    ``mining_s``, the rest ``rulegen_s`` (with its ``kernel_s`` and
+    ``projection_s`` shares).
     """
     start = time.perf_counter()
+    projection_before = ctx.projection_s
     item_tidsets = {
         item: mask
         for item, mask in sub.item_tidsets().items()
@@ -1034,44 +1071,34 @@ def op_arm(ctx: QueryContext, sub: RelationalTable) -> list[Rule]:
         or item.attribute in ctx.query.item_attributes
     }
     closed = charm(item_tidsets, sub.n_records, ctx.query.minsupp)
-    full = ts.full(sub.n_records)
-    cache: dict[Itemset, int | None] = {
-        cfi.items: cfi.support_count for cfi in closed
-    }
-
-    def local_count(items: Itemset) -> int | None:
-        if items in cache:
-            return cache[items]
-        mask = full
-        for item in items:
-            mask &= item_tidsets.get(item, 0)
-            if not mask:
-                break
-        count_ = mask.bit_count()
-        cache[items] = count_
-        return count_
-
-    if not ctx.expand:
-        itemsets = [cfi.items for cfi in closed]
-    else:
-        family: set[Itemset] = set()
-        for cfi in closed:
-            n = len(cfi.items)
-            for mask in range(1, 1 << n):
-                family.add(
-                    tuple(cfi.items[i] for i in range(n) if mask >> i & 1)
-                )
-        itemsets = sorted(family)
-    rules = rules_from_itemsets(
-        itemsets, local_count, sub.n_records, ctx.query.minsupp, ctx.query.minconf
+    mining_s = time.perf_counter() - start
+    sources = [cfi.items for cfi in closed if len(cfi.items) >= 2]
+    kernel_s = 0.0
+    if ctx.expand:
+        t0 = time.perf_counter()
+        sources = _frequent_sources(ctx.focal_kernel(), sources, ctx.min_count)
+        kernel_s = time.perf_counter() - t0
+    rules, _groups, lattice_s = rules_from_sources(
+        sources,
+        ctx.focal_kernel,
+        ctx.dq_size,
+        ctx.query.minconf,
+        min_count=ctx.min_count if ctx.expand else None,
     )
+    elapsed = time.perf_counter() - start
     ctx.trace.add(
         OperatorTrace(
             name="ARM",
             input_size=sub.n_records,
             output_size=len(rules),
-            elapsed=time.perf_counter() - start,
-            detail={"local_closed_itemsets": len(closed)},
+            elapsed=elapsed,
+            detail={
+                "local_closed_itemsets": len(closed),
+                "mining_s": mining_s,
+                "rulegen_s": elapsed - mining_s,
+                "kernel_s": kernel_s + lattice_s,
+                "projection_s": ctx.projection_s - projection_before,
+            },
         )
     )
     return rules

@@ -1,14 +1,17 @@
 """Association-rule generation with confidence pruning.
 
-Rules are generated from itemsets by the classic Agrawal-Srikant consequent
-growth: for an itemset ``I``, confidence of ``X => I\\X`` only drops as the
-antecedent ``X`` shrinks (its support grows), so once a consequent fails
-``minconf`` all of its supersets can be pruned.
+Two generators live here.  :func:`generate_rules` /
+:func:`rules_from_itemsets` are the classic Agrawal-Srikant consequent
+growth: for an itemset ``I``, confidence of ``X => I\\X`` only drops as
+the antecedent ``X`` shrinks (its support grows), so once a consequent
+fails ``minconf`` all of its supersets can be pruned.  Support lookups
+sit behind a ``support_fn``; the analysis modules use them, and they are
+the scalar reference the fast path is tested against.
 
-Support lookups are abstracted behind a ``support_fn`` so the same generator
-serves both the global case (counts over the whole dataset) and COLARM's
-localized case (counts intersected with the focal subset) — the VERIFY
-operator is this module parameterized by local counts.
+:func:`rules_from_subset_lattices` is the fast path every plan's rules
+come out of (see :func:`repro.core.operators.rules_from_sources`): it
+reads supports from mask-indexed subset-lattice counts and checks every
+split in one vectorized pass.
 """
 
 from __future__ import annotations
@@ -28,7 +31,6 @@ __all__ = [
     "generate_rules",
     "rules_from_itemsets",
     "rules_from_counts",
-    "rules_from_subset_lattice",
     "rules_from_subset_lattices",
 ]
 
@@ -254,6 +256,10 @@ def rules_from_counts(
 # Mask-indexed extraction over whole subset lattices
 # ---------------------------------------------------------------------------
 
+#: Kept splits per slice when building sort keys and rules: bounds the
+#: extraction's temporaries independently of the answer size.
+_EMIT_CHUNK = 1 << 16
+
 #: Cached per-width split accessors: for width ``n``, entry ``p`` describes
 #: the split whose antecedent is submask ``p + 1`` of the full itemset —
 #: C-speed ``itemgetter``s building the antecedent/consequent tuples.
@@ -286,102 +292,6 @@ def _split_getters(n: int) -> tuple[list, list]:
     return table
 
 
-def rules_from_subset_lattice(
-    itemsets: Sequence[Itemset],
-    counts: np.ndarray,
-    universe_count: int,
-    minconf: float,
-    *,
-    min_count: int | None = None,
-    seen: "set[tuple[Itemset, Itemset]] | None" = None,
-) -> list[Rule]:
-    """Vectorized rule extraction from mask-indexed subset-lattice counts.
-
-    ``itemsets`` are *distinct* same-length (``n``) sorted tuples and
-    ``counts`` the matching ``(m, 2**n)`` matrix from
-    :meth:`repro.kernels.FocalKernel.count_subset_lattice`:
-    ``counts[j, mask]`` is the support of the sub-itemset of
-    ``itemsets[j]`` selected by ``mask``'s bits.  Each itemset is a rule
-    source; every proper non-empty antecedent/consequent split is checked
-    in one vectorized confidence pass, and Python objects (two cached
-    ``itemgetter`` calls and one :class:`Rule`) materialize only for
-    splits that pass ``minconf`` — the interpreter cost is proportional to
-    the emitted rule set, not the enumerated lattice.
-
-    ``min_count`` (floored at 1) filters source supports.  Because
-    ``antecedent ∪ consequent`` uniquely determines the source and sources
-    are distinct, emitted rules are distinct; ``seen`` is only needed when
-    a caller stitches together lattices whose sources may repeat across
-    calls.  Rules are returned unsorted; callers sort the concatenation.
-    """
-    if not 0.0 <= minconf <= 1.0:
-        raise DataError(f"minconf must be in [0, 1], got {minconf}")
-    m = len(itemsets)
-    if m == 0:
-        return []
-    n = len(itemsets[0])
-    if n < 2:
-        return []
-    floor = max(min_count if min_count is not None else 1, 1)
-    full = (1 << n) - 1
-    ant_getters, cons_getters = _split_getters(n)
-    rules: list[Rule] = []
-    # Chunk the (m_c, 2**n - 2) confidence slabs to a fixed footprint.
-    chunk = max(1, (4 << 20) // max(1, full - 1))
-    for lo in range(0, m, chunk):
-        hi = min(m, lo + chunk)
-        source_counts = counts[lo:hi, full]
-        ac = counts[lo:hi, 1:full]  # column p: antecedent mask p + 1
-        ok = (source_counts[:, None] >= floor) & (ac > 0)
-        conf = np.zeros(ac.shape, dtype=np.float64)
-        np.divide(source_counts[:, None], ac, out=conf, where=ok)
-        keep = ok & (conf >= minconf)
-        js, ps = np.nonzero(keep)
-        if len(js) == 0:
-            continue
-        kept_ic = source_counts[js]
-        # True division, not a reciprocal multiply: bit-identical to the
-        # scalar reference's ``count / universe`` for counts below 2**53.
-        kept_supp = (
-            kept_ic / universe_count
-            if universe_count
-            else np.zeros(len(js), dtype=np.float64)
-        )
-        kept = zip(
-            js.tolist(),
-            ps.tolist(),
-            kept_ic.tolist(),
-            kept_supp.tolist(),
-            conf[js, ps].tolist(),
-        )
-        if seen is None:
-            append = rules.append
-            for j, p, count_, supp, conf_ in kept:
-                source = itemsets[lo + j]
-                append(
-                    Rule(
-                        ant_getters[p](source),
-                        cons_getters[p](source),
-                        count_,
-                        supp,
-                        conf_,
-                    )
-                )
-        else:
-            for j, p, count_, supp, conf_ in kept:
-                source = itemsets[lo + j]
-                antecedent = ant_getters[p](source)
-                consequent = cons_getters[p](source)
-                key = (antecedent, consequent)
-                if key in seen:
-                    continue
-                seen.add(key)
-                rules.append(
-                    Rule(antecedent, consequent, count_, supp, conf_)
-                )
-    return rules
-
-
 def rules_from_subset_lattices(
     groups: "Sequence[tuple[Sequence[Itemset], np.ndarray]]",
     universe_count: int,
@@ -393,17 +303,20 @@ def rules_from_subset_lattices(
 
     ``groups`` pairs each same-width source batch with its
     :meth:`~repro.kernels.FocalKernel.count_subset_lattice` matrix (sources
-    must be distinct across *all* groups).  Beyond running the vectorized
-    confidence pass of :func:`rules_from_subset_lattice` per group, the
-    canonical ``(antecedent, consequent)`` output order is produced
+    must be distinct across *all* groups): ``counts[j, mask]`` is the
+    support of the sub-itemset of ``itemsets[j]`` selected by ``mask``'s
+    bits.  Every proper non-empty antecedent/consequent split is checked
+    in one vectorized confidence pass per group, and Python objects (two
+    cached ``itemgetter`` calls and one :class:`Rule`) materialize only
+    for splits that pass ``minconf``.  ``min_count`` (floored at 1)
+    filters source supports.
+
+    The canonical ``(antecedent, consequent)`` output order is produced
     *numerically*: every kept split's antecedent/consequent item ranks are
     compacted into fixed-width packed integer keys (pad rank 0 sorts
     shorter tuples first, exactly like tuple comparison) and one
     ``np.lexsort`` replaces the comparison sort over Python tuple keys —
     so :class:`Rule` objects are built once, already in final order.
-
-    Falls back to per-group extraction plus a tuple-keyed sort in the
-    (never-observed) case of more than ``2**16 - 1`` distinct items.
     """
     if not 0.0 <= minconf <= 1.0:
         raise DataError(f"minconf must be in [0, 1], got {minconf}")
@@ -415,23 +328,14 @@ def rules_from_subset_lattices(
     if not live:
         return []
     distinct = sorted({item for itemsets, _ in live for s in itemsets for item in s})
-    if len(distinct) >= (1 << 16) - 1:  # pragma: no cover - absurd schema
-        out: list[Rule] = []
-        for itemsets, counts in live:
-            out.extend(
-                rules_from_subset_lattice(
-                    itemsets, counts, universe_count, minconf,
-                    min_count=min_count,
-                )
-            )
-        out.sort(key=operator.attrgetter("antecedent", "consequent"))
-        return out
     rank_of = {item: r + 1 for r, item in enumerate(distinct)}
     floor = max(min_count if min_count is not None else 1, 1)
     n_pad = max(len(itemsets[0]) for itemsets, _ in live)
-    slots = 2 * n_pad
-    n_words = -(-slots // 4)  # four 16-bit ranks per packed int64 word
-    shifts = np.array([48, 32, 16, 0], dtype=np.int64)
+    # As many rank fields per int64 word as fit below the sign bit.
+    bits = len(distinct).bit_length()
+    per_word = 63 // bits
+    n_words = -(-2 * n_pad // per_word)
+    shifts = bits * np.arange(per_word - 1, -1, -1, dtype=np.int64)
 
     kept_keys: list[np.ndarray] = []
     kept_gid: list[int] = []
@@ -462,76 +366,76 @@ def rules_from_subset_lattices(
             conf = np.zeros(ac.shape, dtype=np.float64)
             np.divide(source_counts[:, None], ac, out=conf, where=ok)
             keep = ok & (conf >= minconf)
-            js, ps = np.nonzero(keep)
-            if len(js) == 0:
-                continue
-            ic = source_counts[js]
-            # True division: bit-identical to the scalar reference's
-            # ``count / universe`` for counts below 2**53.
-            supp = (
-                ic / universe_count
-                if universe_count
-                else np.zeros(len(js), dtype=np.float64)
-            )
-            sel = ant_table[ps]  # (K, n) — bits of antecedent mask p + 1
-            src_ranks = ranks[lo + js]
-            # Compact selected ranks to the left, in order: sources are
-            # sorted so their ranks ascend, and an ascending sort with an
-            # oversized placeholder both compacts and preserves order.
-            ant = np.where(sel, src_ranks, pad)
-            ant.sort(axis=1)
-            ant[ant == pad] = 0
-            con = np.where(sel, pad, src_ranks)
-            con.sort(axis=1)
-            con[con == pad] = 0
-            padded = np.zeros((len(js), n_words * 4), dtype=np.int64)
-            padded[:, :n] = ant
-            padded[:, n_pad:n_pad + n] = con
-            words = np.bitwise_or.reduce(
-                padded.reshape(len(js), n_words, 4) << shifts, axis=2
-            )
-            kept_keys.append(words)
-            kept_gid.append(gid)
-            kept_js.append(js + lo)
-            kept_ps.append(ps)
-            kept_ic.append(ic)
-            kept_supp.append(supp)
-            kept_conf.append(conf[js, ps])
+            js_chunk, ps_chunk = np.nonzero(keep)
+            # The per-split key temporaries are (K, n) wide: build them a
+            # bounded slice of kept splits at a time.
+            for at in range(0, len(js_chunk), _EMIT_CHUNK):
+                js = js_chunk[at:at + _EMIT_CHUNK]
+                ps = ps_chunk[at:at + _EMIT_CHUNK]
+                ic = source_counts[js]
+                # True division: bit-identical to the scalar reference's
+                # ``count / universe`` for counts below 2**53.
+                supp = (
+                    ic / universe_count
+                    if universe_count
+                    else np.zeros(len(js), dtype=np.float64)
+                )
+                sel = ant_table[ps]  # (K, n) — bits of antecedent mask p + 1
+                src_ranks = ranks[lo + js]
+                # Compact selected ranks to the left, in order: sources are
+                # sorted so their ranks ascend, and an ascending sort with
+                # an oversized placeholder both compacts and preserves
+                # order.
+                ant = np.where(sel, src_ranks, pad)
+                ant.sort(axis=1)
+                ant[ant == pad] = 0
+                con = np.where(sel, pad, src_ranks)
+                con.sort(axis=1)
+                con[con == pad] = 0
+                padded = np.zeros((len(js), n_words * per_word), dtype=np.int64)
+                padded[:, :n] = ant
+                padded[:, n_pad:n_pad + n] = con
+                words = np.bitwise_or.reduce(
+                    padded.reshape(len(js), n_words, per_word) << shifts,
+                    axis=2,
+                )
+                kept_keys.append(words)
+                kept_gid.append(gid)
+                kept_js.append(js + lo)
+                kept_ps.append(ps)
+                kept_ic.append(ic)
+                kept_supp.append(supp)
+                kept_conf.append(conf[js, ps])
 
     if not kept_keys:
         return []
-    keys = np.concatenate(kept_keys, axis=0)
+    order = np.lexsort(np.concatenate(kept_keys, axis=0).T[::-1])
+    del kept_keys
     gids = np.concatenate(
         [np.full(len(a), g, dtype=np.int64) for g, a in zip(kept_gid, kept_js)]
-    )
-    js_all = np.concatenate(kept_js)
-    ps_all = np.concatenate(kept_ps)
-    ic_all = np.concatenate(kept_ic)
-    supp_all = np.concatenate(kept_supp)
-    conf_all = np.concatenate(kept_conf)
-    order = np.lexsort(keys.T[::-1])
-
-    gid_l = gids[order].tolist()
-    js_l = js_all[order].tolist()
-    ps_l = ps_all[order].tolist()
-    ic_l = ic_all[order].tolist()
-    supp_l = supp_all[order].tolist()
-    conf_l = conf_all[order].tolist()
+    )[order]
+    columns = [gids]
+    for kept in (kept_js, kept_ps, kept_ic, kept_supp, kept_conf):
+        columns.append(np.concatenate(kept)[order])
+        kept.clear()
     itemsets_by_group = [itemsets for itemsets, _ in live]
     rules: list[Rule] = []
     append = rules.append
-    for g, j, p, count_, supp_, conf_ in zip(
-        gid_l, js_l, ps_l, ic_l, supp_l, conf_l
-    ):
-        source = itemsets_by_group[g][j]
-        ant_getters, cons_getters = getters_by_group[g]
-        append(
-            Rule(
-                ant_getters[p](source),
-                cons_getters[p](source),
-                count_,
-                supp_,
-                conf_,
+    # Python scalars exist only for one slice at a time; the kept floats
+    # and counts live on inside the rules.
+    for at in range(0, len(order), _EMIT_CHUNK):
+        for g, j, p, count_, supp_, conf_ in zip(
+            *(column[at:at + _EMIT_CHUNK].tolist() for column in columns)
+        ):
+            source = itemsets_by_group[g][j]
+            ant_getters, cons_getters = getters_by_group[g]
+            append(
+                Rule(
+                    ant_getters[p](source),
+                    cons_getters[p](source),
+                    count_,
+                    supp_,
+                    conf_,
+                )
             )
-        )
     return rules

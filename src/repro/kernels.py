@@ -450,13 +450,12 @@ class FocalKernel:
         Sub-itemsets shared by many overlapping closures are the norm, so
         deduplication happens in array space: each qualifying ``(itemset,
         mask)`` pair is encoded as a *set signature* — a bitmask over the
-        kernel's global item rows, OR-reduced per word — and duplicate
+        distinct keys of ``itemsets``, OR-reduced per word — and duplicate
         signatures collapse with one sort before a single Python tuple is
-        built.  The encoding is canonical (a set of item rows has exactly
-        one signature, regardless of which closure it was reached
-        through), and items absent from the kernel's matrix can never
-        qualify (their rows are empty, so any superset counts 0), so the
-        sentinel id they encode to is never observed.
+        built.  The encoding is canonical: a set of keys has exactly one
+        signature, whichever closure it was reached through.  Supports
+        come only from :meth:`count_subset_lattice`, so the combined
+        kernel reuses this method unchanged.
         """
         floor = max(int(floor), 1)
         groups: dict[int, list[tuple]] = {}
@@ -465,8 +464,9 @@ class FocalKernel:
         widths = [n for n in groups if n >= min_width]
         if not widths:
             return []
-        sentinel = self.matrix.shape[0]
-        sig_words = (sentinel + 1 + WORD_BITS - 1) // WORD_BITS
+        keys = sorted({key for n in widths for s in groups[n] for key in s})
+        id_of = {key: i for i, key in enumerate(keys)}
+        sig_words = (len(keys) + WORD_BITS - 1) // WORD_BITS
         chunks: list[np.ndarray] = []
         for n in sorted(widths):
             group = groups[n]
@@ -480,11 +480,7 @@ class FocalKernel:
             if len(js) == 0:
                 continue
             ids = np.array(
-                [
-                    [self._row_of.get(key, sentinel) for key in s]
-                    for s in group
-                ],
-                dtype=np.int64,
+                [[id_of[key] for key in s] for s in group], dtype=np.int64
             )
             id_word = ids >> 6  # (m, n)
             id_bit = np.uint64(1) << (ids & 63).astype(_WORD_DTYPE)
@@ -508,7 +504,6 @@ class FocalKernel:
                 [[True], np.any(ordered[1:] != ordered[:-1], axis=1)]
             )
             uniq = ordered[keep]
-        key_of = {row: key for key, row in self._row_of.items()}
         out: list[tuple] = []
         for row in uniq.tolist():
             items = []
@@ -516,9 +511,9 @@ class FocalKernel:
                 base = w << 6
                 while word:
                     low = word & -word
-                    items.append(key_of[base + low.bit_length() - 1])
+                    items.append(keys[base + low.bit_length() - 1])
                     word ^= low
-            out.append(tuple(sorted(items)))
+            out.append(tuple(items))
         return out
 
     def count_family(self, family: Iterable[tuple]) -> dict[tuple, int]:
@@ -605,25 +600,9 @@ class CombinedFocalKernel:
             itemsets
         ) + self.delta.count_subset_lattice(itemsets)
 
-    def frequent_subsets(
-        self,
-        itemsets: Sequence[tuple],
-        floor: int,
-        min_width: int = 2,
-    ) -> list[tuple]:
-        """Distinct sub-itemsets whose *combined* support reaches ``floor``.
-
-        A sub-itemset's delta contribution is at most ``|D^Q_delta|``, so
-        every combined-frequent sub-itemset clears the main floor relaxed
-        by that bound; discovery runs on the main kernel at the relaxed
-        floor and the caller's exact combined-count filter (the lattice
-        extraction's ``min_count``) discards any over-admitted subset.
-        Under the coverage guarantee the relaxed floor stays >= 1, so
-        itemsets absent from the main index can never qualify — exactly
-        the guarantee's contract.
-        """
-        relaxed = max(int(floor) - self.delta.dq_size, 1)
-        return self.main.frequent_subsets(itemsets, relaxed, min_width)
+    #: Exact over the summed lattices, so an itemset supported only by
+    #: delta records (items the main table never saw included) is found.
+    frequent_subsets = FocalKernel.frequent_subsets
 
     def count_family(self, family: Iterable[tuple]) -> dict[tuple, int]:
         family = list(family)

@@ -1,9 +1,13 @@
 """The Colarm engine facade."""
 
+import time
+
 import pytest
 
 from repro import Colarm, LocalizedQuery, PlanKind
 from repro.errors import DataError, QueryError
+from repro.itemsets.apriori import min_count_for
+from repro.itemsets.rules import rules_from_itemsets
 from tests.conftest import make_random_table
 
 
@@ -85,6 +89,65 @@ def test_global_rules(engine):
         count = table.support_count(rule.items)
         assert count / table.n_records >= 0.3
         assert count / table.support_count(rule.antecedent) >= 0.5
+
+
+@pytest.mark.parametrize("minsupp,minconf", [(0.05, 0.0), (0.1, 0.5), (0.2, 0.3)])
+def test_global_rules_identical_to_consequent_growth(engine, minsupp, minconf):
+    """The lattice emitter over the full table returns exactly the rules
+    consequent growth over the stored closed sets returns."""
+    def global_count(items):
+        return engine.table.support_count(items)
+
+    expected = rules_from_itemsets(
+        [mip.itemset for mip in engine.index.mips],
+        global_count,
+        engine.table.n_records,
+        minsupp,
+        minconf,
+    )
+    got = engine.global_rules(minsupp, minconf)
+    assert expected
+    assert [
+        (r.antecedent, r.consequent, r.support_count, r.support, r.confidence)
+        for r in got
+    ] == [
+        (r.antecedent, r.consequent, r.support_count, r.support, r.confidence)
+        for r in expected
+    ]
+    assert min_count_for(minsupp, engine.table.n_records) <= min(
+        r.support_count for r in got
+    )
+
+
+def test_first_fold_priced_at_measured_build(monkeypatch):
+    """Before any fold, a fold is priced at the measured index build, not
+    at the size guess (a 50 ms floor let a few appends trigger the fold
+    of a ~1 s build)."""
+    table = make_random_table(seed=7, n_records=200,
+                              cardinalities=(4, 3, 3, 2, 3))
+    start = time.perf_counter()
+    engine = Colarm(table, primary_support=0.05)
+    outer = time.perf_counter() - start
+    engine.enable_maintenance(calibrate=False)
+    build_s = engine.maintenance.last_build_s
+    assert 0.0 < build_s <= outer
+
+    priced = []
+    advise = engine.optimizer.recompaction_advice
+
+    def spy(query, build_cost_s, horizon=100):
+        priced.append(build_cost_s)
+        return advise(query, build_cost_s, horizon=horizon)
+
+    monkeypatch.setattr(engine.optimizer, "recompaction_advice", spy)
+    engine.append([[0, 0, 0, 0, 0]])
+    engine.query(LocalizedQuery({0: frozenset({1})}, 0.3, 0.6))
+    assert priced == [build_s]
+
+    # An engine around a prebuilt index has no build to measure.
+    adopted = Colarm.from_index(engine.index)
+    adopted.enable_maintenance(calibrate=False)
+    assert adopted.maintenance.last_build_s == 0.0
 
 
 def test_engine_introspection(engine):

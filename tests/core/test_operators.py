@@ -198,6 +198,24 @@ def test_arm_rules_are_correct(setup):
         assert rule.confidence >= query.minconf
 
 
+def test_arm_trace_splits_mining_from_rulegen(setup):
+    _, index, query = setup
+    ctx = make_context(index, query)
+    rules = op_arm(ctx, op_select(ctx))
+    trace = ctx.trace.by_name("ARM")
+    assert trace.output_size == len(rules)
+    detail = trace.detail
+    assert detail["local_closed_itemsets"] > 0
+    assert detail["mining_s"] + detail["rulegen_s"] == pytest.approx(
+        trace.elapsed
+    )
+    assert detail["projection_s"] > 0.0
+    assert 0.0 < detail["kernel_s"] <= detail["rulegen_s"]
+    assert ctx.trace.rulegen_elapsed() == detail["rulegen_s"]
+    # ARM answers populate only the rules tier of the cache.
+    assert ctx.lattice_groups is None
+
+
 def test_traces_record_operator_sequence(setup):
     _, index, query = setup
     ctx = make_context(index, query)
